@@ -4,6 +4,11 @@
 //
 //   pipeline_report [circuit] [--json] [--threads N]
 //
+// --help prints usage and exits 0; an unknown flag, an unknown circuit or
+// a --threads value that is not an integer in 0..256 prints usage on
+// stderr and exits 2; a run that fails a check (c17 is too small for the
+// 8-buyer batch) prints the diagnostic and exits 1.
+//
 // Runs location finding (pooled), a window-ODC sample, the full
 // embedding, the reactive delay heuristic, and a small multi-buyer batch
 // with CEC verification — all instrumented — then dumps the hierarchical
@@ -21,14 +26,14 @@
 // every span below appears as a duration event on its thread's track
 // (pool workers are named pool-worker-N), joined to this report's span
 // tree by the span-name strings.
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "benchgen/benchmarks.hpp"
+#include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "common/telemetry.hpp"
 #include "common/trace.hpp"
@@ -86,22 +91,45 @@ void print_breakdown(const telemetry::Node& root) {
   }
 }
 
-}  // namespace
+constexpr int kMaxThreads = 256;
 
-int main(int argc, char** argv) {
-  std::string circuit = "c880";
-  bool as_json = false;
-  int threads = 0;  // 0 = hardware concurrency
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      as_json = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else {
-      circuit = argv[i];
-    }
+void print_usage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: pipeline_report [circuit] [--json] [--threads N]\n"
+               "  circuit      benchmark to run (default c880):");
+  for (const std::string& name : benchmark_names()) {
+    std::fprintf(out, " %s", name.c_str());
   }
+  std::fprintf(out,
+               "\n  --json       print the raw telemetry tree as JSON\n"
+               "  --threads N  pool size, 0..%d (0 = hardware "
+               "concurrency)\n"
+               "  -h, --help   print this text\n",
+               kMaxThreads);
+}
 
+/// Prints `message` and the usage text on stderr; returns exit code 2.
+int usage_error(const std::string& message) {
+  std::fprintf(stderr, "pipeline_report: %s\n", message.c_str());
+  print_usage(stderr);
+  return 2;
+}
+
+/// Strict decimal parse of a --threads value: digits only, 0..kMaxThreads.
+bool parse_threads(const char* text, int* threads) {
+  if (*text == '\0') return false;
+  long value = 0;
+  for (const char* p = text; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') return false;
+    value = value * 10 + (*p - '0');
+    if (value > kMaxThreads) return false;
+  }
+  *threads = static_cast<int>(value);
+  return true;
+}
+
+/// The instrumented flow and its report; returns the exit code.
+int run(const std::string& circuit, bool as_json, int threads) {
   telemetry::set_enabled(true);
   telemetry::reset();
   trace::set_thread_name("main");  // label this track if ODCFP_TRACE is set
@@ -167,4 +195,45 @@ int main(int argc, char** argv) {
   std::printf("\n(span timings vary run to run; counts and counters are "
               "deterministic for a fixed pool-visible seed set)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::string circuit = "c880";
+  bool as_json = false;
+  int threads = 0;  // 0 = hardware concurrency
+  const std::vector<std::string> circuits = benchmark_names();
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      print_usage(stdout);
+      return 0;
+    }
+    if (arg == "--json") {
+      as_json = true;
+    } else if (arg == "--threads") {
+      if (i + 1 >= argc) return usage_error("--threads needs a value");
+      if (!parse_threads(argv[++i], &threads)) {
+        return usage_error("--threads wants an integer in 0.." +
+                           std::to_string(kMaxThreads) + ", got '" +
+                           argv[i] + "'");
+      }
+    } else if (!arg.empty() && arg[0] == '-') {
+      return usage_error("unknown flag '" + arg + "'");
+    } else if (std::find(circuits.begin(), circuits.end(), arg) ==
+               circuits.end()) {
+      return usage_error("unknown circuit '" + arg + "'");
+    } else {
+      circuit = arg;
+    }
+  }
+
+  try {
+    return run(circuit, as_json, threads);
+  } catch (const CheckError& e) {
+    // A circuit too small for the 8-buyer batch, say: a typed error.
+    std::fprintf(stderr, "pipeline_report: error: %s\n", e.what());
+    return 1;
+  }
 }

@@ -315,11 +315,45 @@ IncrementalCecSession::IncrementalCecSession(const Netlist& golden,
   // story: each verdict depends only on the clause database, which the
   // batch layer makes a pure function of the buyer index.
   golden_enc_.emplace(solver_, golden_);
+  golden_vars_ = solver_.num_vars();
+  // Fixed seed: candidates, and hence the clause database, are a pure
+  // function of (golden, edition sequence).
+  Rng rng(0x5eed5157ull);
+  pi_words_.assign(kSignatureWords,
+                   std::vector<std::uint64_t>(golden_.inputs().size()));
+  for (std::vector<std::uint64_t>& words : pi_words_) {
+    for (std::uint64_t& w : words) w = rng.next_u64();
+  }
+  golden_sigs_ = simulate_signatures(golden_, pi_words_);
+}
+
+sat::Solver::Result IncrementalCecSession::charged_solve(
+    const std::vector<sat::Lit>& assumptions, CheckState& st) {
+  const sat::Solver::Result r =
+      solver_.solve(assumptions, st.remaining, st.budget);
+  st.solved = true;
+  st.result->sat_stats += solver_.last_call_stats();
+  if (options_.conflict_limit >= 0) {
+    st.remaining -=
+        static_cast<std::int64_t>(solver_.last_call_stats().conflicts);
+  }
+  return r;
 }
 
 IncrementalCecSession::StampedCone IncrementalCecSession::stamp_edition(
-    const Netlist& edition) {
+    const Netlist& edition, CheckState& st) {
   const InterfaceMap map = match_interfaces(golden_, edition);
+
+  // The edition's signatures, on the golden PI words wired by name.
+  std::vector<std::vector<std::uint64_t>> edition_words(
+      kSignatureWords, std::vector<std::uint64_t>(edition.inputs().size()));
+  for (std::size_t w = 0; w < kSignatureWords; ++w) {
+    for (std::size_t i = 0; i < golden_.inputs().size(); ++i) {
+      edition_words[w][map.b_pi_for_a_pi[i]] = pi_words_[w][i];
+    }
+  }
+  const std::vector<std::uint64_t> edition_sigs =
+      simulate_signatures(edition, edition_words);
 
   // Stamp the edition's cone behind a fresh activation literal, reusing
   // the golden encoding for every structurally unchanged gate.
@@ -337,6 +371,36 @@ IncrementalCecSession::StampedCone IncrementalCecSession::stamp_edition(
   topts.activation = act;
   topts.base = &golden_;
   topts.base_encoding = &*golden_enc_;
+  // The sweep: a fresh gate driving the same net as its golden
+  // counterpart, with the same signature, is proven equal to it under
+  // the activation literal. A proven net maps to the golden variable, so
+  // every gate downstream of it is structurally reused. A SAT or kUnknown
+  // proof only leaves the net unmerged — never a verdict.
+  topts.on_encoded = [&](GateId g, const Gate& gt, sat::Var out) {
+    if (static_cast<std::size_t>(g) >= golden_.num_gates()) return out;
+    const Gate& bg = golden_.gate(g);
+    if (bg.is_dead() || bg.output != gt.output) return out;
+    const sat::Var base = golden_enc_->var_or_undef(gt.output);
+    if (base == sat::kUndefVar) return out;
+    const std::size_t at = gt.output * kSignatureWords;
+    if (!std::equal(edition_sigs.begin() + at,
+                    edition_sigs.begin() + at + kSignatureWords,
+                    golden_sigs_.begin() + at)) {
+      return out;
+    }
+    ++sweep_candidates_;
+    for (const bool positive : {true, false}) {
+      if (quota_spent(st) || budget_exhausted(st.budget)) return out;
+      // out != base is refuted one polarity at a time.
+      if (charged_solve({sat::pos_lit(act), sat::Lit(out, !positive),
+                         sat::Lit(base, positive)},
+                        st) != sat::Solver::Result::kUnsat) {
+        return out;
+      }
+    }
+    ++sweep_merges_;
+    return base;
+  };
   const sat::TseitinEncoding enc_b(solver_, edition, topts);
   gates_reused_ += enc_b.reused_gates();
   gates_encoded_ += enc_b.encoded_gates();
@@ -346,8 +410,8 @@ IncrementalCecSession::StampedCone IncrementalCecSession::stamp_edition(
     const sat::Var va = golden_enc_->var_of(golden_.outputs()[i].net);
     const sat::Var vb =
         enc_b.var_of(edition.outputs()[map.b_po_for_a_po[i]].net);
-    // Outputs whose whole cone was reused resolve to the very same
-    // variable — identical by construction, no XOR needed.
+    // Outputs whose whole cone was reused or merged resolve to the very
+    // same variable — equal by construction, no XOR needed.
     if (va == vb) continue;
     const sat::Var d = solver_.new_var();
     sat::encode_xor(solver_, va, vb, d, act);
@@ -373,74 +437,42 @@ CecResult IncrementalCecSession::check(const Netlist& edition,
     return result;
   }
 
-  const StampedCone cone = stamp_edition(edition);
-  if (cone.diffs.empty()) {
-    // Empty edit cone: every output reuses the golden variable. This is
-    // the second degenerate-miter shape; answer it before the solver
-    // ever sees an empty disjunction.
+  // Merge proofs and output proofs share the per-check conflict quota.
+  CheckState st{budget, options_.conflict_limit, &result};
+  const StampedCone cone = stamp_edition(edition, st);
+  if (cone.diffs.empty() && !st.solved) {
+    // Empty edit cone: every output reuses the golden variable and no
+    // proof ran. This is the second degenerate-miter shape; answer it
+    // before the solver ever sees an empty disjunction.
     retire_scope(cone.act);
     return trivially_equivalent("trivial-identical-cone");
   }
 
   result.method = "sat-incremental";
-  if (options_.per_output_proofs) {
-    // One focused sub-query per changed output, in PO order, sharing the
-    // activation literal — so lemmas learned refuting output i (they
-    // carry neg_lit(act)) stay live for outputs i+1..n within this
-    // check. The per-check conflict quota is spent across sub-queries.
-    result.status = CecResult::Status::kEquivalent;
-    std::int64_t remaining = options_.conflict_limit;
-    for (const sat::Var d : cone.diffs) {
-      if (options_.conflict_limit >= 0 && remaining <= 0) {
-        result.status = CecResult::Status::kUnknown;
-        break;
-      }
-      const sat::Solver::Result r = solver_.solve(
-          {sat::pos_lit(cone.act), sat::pos_lit(d)}, remaining, budget);
-      result.sat_stats += solver_.last_call_stats();
-      if (options_.conflict_limit >= 0) {
-        remaining -= static_cast<std::int64_t>(
-            solver_.last_call_stats().conflicts);
-      }
-      if (r == sat::Solver::Result::kSat) {
-        result.status = CecResult::Status::kDifferent;
-        for (std::size_t i = 0; i < golden_.inputs().size(); ++i) {
-          result.counterexample.push_back(
-              solver_.model_value(golden_enc_->input_vars()[i]));
-        }
-        break;
-      }
-      if (r == sat::Solver::Result::kUnknown) {
-        result.status = CecResult::Status::kUnknown;
-        break;
-      }
+  result.status = CecResult::Status::kEquivalent;
+  // One focused sub-query per output that still differs after sweeping,
+  // in PO order, sharing the activation literal — so lemmas learned
+  // refuting output i (they carry neg_lit(act)) stay live for outputs
+  // i+1..n within this check.
+  for (const sat::Var d : cone.diffs) {
+    if (quota_spent(st)) {
+      result.status = CecResult::Status::kUnknown;
+      break;
     }
-  } else {
-    const sat::Var any_diff = solver_.new_var();
-    sat::encode_or(solver_, cone.diffs, any_diff, cone.act);
     const sat::Solver::Result r =
-        solver_.solve({sat::pos_lit(cone.act), sat::pos_lit(any_diff)},
-                      options_.conflict_limit, budget);
-    switch (r) {
-      case sat::Solver::Result::kUnsat:
-        result.status = CecResult::Status::kEquivalent;
-        break;
-      case sat::Solver::Result::kSat:
-        result.status = CecResult::Status::kDifferent;
-        // Extract the model before retirement backtracks it away.
-        for (std::size_t i = 0; i < golden_.inputs().size(); ++i) {
-          result.counterexample.push_back(
-              solver_.model_value(golden_enc_->input_vars()[i]));
-        }
-        break;
-      case sat::Solver::Result::kUnknown:
-        result.status = CecResult::Status::kUnknown;
-        break;
+        charged_solve({sat::pos_lit(cone.act), sat::pos_lit(d)}, st);
+    if (r == sat::Solver::Result::kSat) {
+      result.status = CecResult::Status::kDifferent;
+      for (std::size_t i = 0; i < golden_.inputs().size(); ++i) {
+        result.counterexample.push_back(
+            solver_.model_value(golden_enc_->input_vars()[i]));
+      }
+      break;
     }
-    // Per-call delta, not the session's cumulative stats: the whole
-    // point of last_call_stats is attributing proof effort to this
-    // edition.
-    result.sat_stats = solver_.last_call_stats();
+    if (r == sat::Solver::Result::kUnknown) {
+      result.status = CecResult::Status::kUnknown;
+      break;
+    }
   }
   retire_scope(cone.act);
   return result;
@@ -454,6 +486,10 @@ void IncrementalCecSession::retire_scope(sat::Var act) {
       std::max<std::size_t>(1, options_.simplify_interval)) {
     solver_.simplify();
     checks_since_simplify_ = 0;
+    // Every check's variables were created after the golden encoding and
+    // its scope is now retired and swept: release them, so later solves
+    // neither reset nor branch over retired cones.
+    if (solver_.ok()) solver_.release_vars(golden_vars_);
   }
   // The base formula alone is satisfiable, so a healthy session can never
   // become globally UNSAT; if it did, stop answering from it.

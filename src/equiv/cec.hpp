@@ -10,8 +10,11 @@
 //  * check_equivalence    — SAT-based proof on a shared-PI miter;
 //  * IncrementalCecSession — one long-lived solver holding the golden
 //                           circuit's encoding; each edition stamps only
-//                           its edited cone behind an activation literal
-//                           and is answered by an assumption solve;
+//                           its edited cone behind an activation literal,
+//                           sweeps it (simulation-guided merge proofs
+//                           fold nets equal to their golden counterpart
+//                           back into the golden encoding) and answers
+//                           the residual outputs by assumption solves;
 //  * check_equivalence_portfolio — 2–3 solver configurations racing one
 //                           query in deterministic round-robin slices.
 //
@@ -93,11 +96,22 @@ CecResult check_equivalence_portfolio(
     const PortfolioCecOptions& options = {}, const Budget* budget = nullptr);
 
 /// Shared-miter incremental CEC: encodes the golden netlist once, then
-/// answers each edition with an assumption solve that only pays for the
-/// edition's edited cone (and its transitive fanout). The edition's delta
-/// clauses are guarded by a fresh activation literal and retracted after
-/// the verdict, so the solver — and everything it learned about the base
-/// circuit — stays warm for the next edition.
+/// answers each edition with assumption solves that only pay for the
+/// edition's edited cones. The edition's delta clauses are guarded by a
+/// fresh activation literal and retracted after the verdict, so the
+/// solver — and everything it learned about the base circuit — stays warm
+/// for the next edition.
+///
+/// Sweeping: the golden netlist is simulated once on fixed random words,
+/// the edition on the same (name-matched) PI words. A freshly encoded
+/// edition gate whose output net is the golden gate's output and whose
+/// signature equals the golden one is proven equal to it (two assumption
+/// solves under the activation literal, charged to the check's conflict
+/// quota); a proven net is mapped to the golden variable, so structural
+/// reuse takes over downstream. An ODC edit is masked at its location's
+/// primary gate, so a correct edition merges there and its transitive
+/// fanout costs nothing. Only outputs that still differ after sweeping
+/// get a miter proof.
 ///
 /// Contract: editions must be structural clones of the golden netlist
 /// (same gate/net id space), which is exactly what batch_fingerprint
@@ -117,12 +131,6 @@ class IncrementalCecSession {
     /// false activation guard. The schedule is a pure function of the
     /// check count, so deferral never disturbs determinism.
     std::size_t simplify_interval = 1;
-    /// Prove each changed output with its own focused assumption solve
-    /// (in PO order, sharing the activation literal so lemmas carry
-    /// across sub-queries) instead of one solve over the OR of all
-    /// output differences. The per-check conflict quota is shared across
-    /// the sub-queries either way.
-    bool per_output_proofs = true;
     sat::Solver::Config solver_config;
   };
 
@@ -139,8 +147,10 @@ class IncrementalCecSession {
   /// Proves or refutes golden == edition. kUnknown on quota/budget
   /// exhaustion (escalate) or when the session solver is no longer
   /// healthy. Degenerate checks (no outputs, or an edit cone that is
-  /// empty after structural reuse) are trivially equivalent with methods
-  /// "trivial-no-outputs" / "trivial-identical-cone".
+  /// empty after structural reuse, so no solve ran) are trivially
+  /// equivalent with methods "trivial-no-outputs" /
+  /// "trivial-identical-cone"; any check that ran a solve, merge proofs
+  /// included, reports "sat-incremental".
   CecResult check(const Netlist& edition, const Budget* budget = nullptr);
 
   std::size_t checks() const { return checks_; }
@@ -148,8 +158,25 @@ class IncrementalCecSession {
   /// layer turns these into the cec.incremental.* telemetry counters.
   std::size_t gates_reused() const { return gates_reused_; }
   std::size_t gates_encoded() const { return gates_encoded_; }
+  /// Cumulative sweep tallies: gates whose signature matched their golden
+  /// counterpart, and those proven equal and merged into the golden
+  /// encoding.
+  std::size_t sweep_candidates() const { return sweep_candidates_; }
+  std::size_t sweep_merges() const { return sweep_merges_; }
 
  private:
+  /// 64-bit simulation words per net in the sweep signatures.
+  static constexpr std::size_t kSignatureWords = 4;
+
+  /// The check in flight: its budget, what is left of its conflict quota,
+  /// and the result its solves are charged to.
+  struct CheckState {
+    const Budget* budget = nullptr;
+    std::int64_t remaining = -1;
+    CecResult* result = nullptr;
+    bool solved = false;  // some solve ran (method is "sat-incremental")
+  };
+
   struct StampedCone {
     sat::Var act = sat::kUndefVar;
     /// One "this output differs" variable per output whose edition cone
@@ -161,8 +188,19 @@ class IncrementalCecSession {
   /// Validates the edition's interface (throws CheckError on mismatch),
   /// opens a fresh activation scope, and stamps the edition's edited
   /// cone into it, reusing the golden encoding for every structurally
-  /// unchanged gate.
-  StampedCone stamp_edition(const Netlist& edition);
+  /// unchanged gate and merging every net the sweep proves equal to its
+  /// golden counterpart.
+  StampedCone stamp_edition(const Netlist& edition, CheckState& st);
+
+  /// One assumption solve charged to the check: spends the check's
+  /// conflict quota and adds its effort to the check's result.
+  sat::Solver::Result charged_solve(const std::vector<sat::Lit>& assumptions,
+                                    CheckState& st);
+
+  /// True once the check's conflict quota is spent.
+  bool quota_spent(const CheckState& st) const {
+    return options_.conflict_limit >= 0 && st.remaining <= 0;
+  }
 
   /// Retires a check's activation scope, runs the periodic database
   /// sweep (every Options::simplify_interval checks), and refreshes the
@@ -173,11 +211,18 @@ class IncrementalCecSession {
   Options options_;
   sat::Solver solver_;
   std::optional<sat::TseitinEncoding> golden_enc_;
+  sat::Var golden_vars_ = 0;  // variables of the golden encoding
+  /// The sweep's simulation words: pi_words_[w][i] drives golden PI i,
+  /// and golden_sigs_[net * kSignatureWords + w] is the golden response.
+  std::vector<std::vector<std::uint64_t>> pi_words_;
+  std::vector<std::uint64_t> golden_sigs_;
   bool healthy_ = true;
   std::size_t checks_since_simplify_ = 0;
   std::size_t checks_ = 0;
   std::size_t gates_reused_ = 0;
   std::size_t gates_encoded_ = 0;
+  std::size_t sweep_candidates_ = 0;
+  std::size_t sweep_merges_ = 0;
 };
 
 /// The composed checker: random simulation, then exhaustive (<= 20 PIs) or

@@ -542,7 +542,8 @@ std::vector<Outcome<CecResult>> batch_verify_equivalence(
         std::max<std::size_t>(1, options.session_buyers);
     const std::size_t num_sessions =
         (editions.size() + per_session - 1) / per_session;
-    std::atomic<std::size_t> checks{0}, reused{0}, encoded{0};
+    std::atomic<std::size_t> checks{0}, reused{0}, encoded{0},
+        candidates{0}, merges{0};
     parallel_for(
         options.pool, num_sessions,
         [&](std::size_t s) {
@@ -578,6 +579,10 @@ std::vector<Outcome<CecResult>> batch_verify_equivalence(
                            std::memory_order_relaxed);
           encoded.fetch_add(session.gates_encoded(),
                             std::memory_order_relaxed);
+          candidates.fetch_add(session.sweep_candidates(),
+                               std::memory_order_relaxed);
+          merges.fetch_add(session.sweep_merges(),
+                           std::memory_order_relaxed);
         },
         options.budget);
     // Emitted from the calling thread after the join, so the values are
@@ -593,6 +598,9 @@ std::vector<Outcome<CecResult>> batch_verify_equivalence(
                 static_cast<std::int64_t>(r));
     TELEM_COUNT("cec.incremental.gates_encoded",
                 static_cast<std::int64_t>(n));
+    TELEM_COUNT("cec.sweep.candidates",
+                static_cast<std::int64_t>(candidates.load()));
+    TELEM_COUNT("cec.sweep.merges", static_cast<std::int64_t>(merges.load()));
     TELEM_COUNT("cec.incremental.reuse_ratio",
                 r + n == 0 ? 0
                            : static_cast<std::int64_t>(

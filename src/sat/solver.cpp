@@ -101,6 +101,40 @@ void Solver::retire_activation(Var act) {
   }
 }
 
+void Solver::release_vars(Var first) {
+  ODCFP_CHECK(first >= 0 && first <= num_vars());
+  backtrack(0);
+  const auto released = [first](Lit l) { return l.var() >= first; };
+  for (const Clause& c : clauses_) {
+    ODCFP_CHECK_MSG(std::none_of(c.lits.begin(), c.lits.end(), released),
+                    "release_vars: a live clause mentions a released var");
+  }
+  // Level-0 facts about released variables (the retired activation
+  // literals) go with them.
+  trail_.erase(std::remove_if(trail_.begin(), trail_.end(), released),
+               trail_.end());
+  qhead_ = trail_.size();
+  const auto n = static_cast<std::size_t>(first);
+  assigns_.resize(n);
+  phase_.resize(n);
+  level_.resize(n);
+  reason_.resize(n);
+  activity_.resize(n);
+  seen_.resize(n);
+  watches_.resize(2 * n);
+  if (model_.size() > n) model_.resize(n);
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                             [first](int v) { return v >= first; }),
+              heap_.end());
+  heap_pos_.assign(n, -1);
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    heap_pos_[static_cast<std::size_t>(heap_[i])] = static_cast<int>(i);
+  }
+  for (int i = static_cast<int>(heap_.size()) / 2 - 1; i >= 0; --i) {
+    heap_down(i);
+  }
+}
+
 std::size_t Solver::simplify() {
   if (!ok_) return 0;
   backtrack(0);
@@ -350,6 +384,8 @@ Solver::Result Solver::solve(const std::vector<Lit>& assumptions,
   TELEM_SPAN("sat.solve");
   const Stats before = stats_;
   const Result result = solve_internal(assumptions, conflict_limit, budget);
+  if (result == Result::kSat) model_ = assigns_;
+  backtrack(0);
   last_call_stats_ = stats_ - before;
   const Stats& d = last_call_stats_;
   // Verdict-gated commit: aborted calls (kUnknown) go to sat.aborted_* so
@@ -492,7 +528,8 @@ Solver::Result Solver::solve_internal(const std::vector<Lit>& assumptions,
 bool Solver::model_value(Var v) const {
   ODCFP_CHECK(v >= 0 && v < num_vars());
   // Unassigned vars (eliminated by simplification) default to false.
-  return assigns_[v] == LBool::kTrue;
+  return static_cast<std::size_t>(v) < model_.size() &&
+         model_[static_cast<std::size_t>(v)] == LBool::kTrue;
 }
 
 // ---- VSIDS ----

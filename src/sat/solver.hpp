@@ -172,6 +172,14 @@ class Solver {
   /// simplify() instead of paying a watch-list rebuild per scope.
   void retire_activation(Var act);
 
+  /// Shrinks the solver back to its first `first` variables, releasing
+  /// every later one. For stack-like scopes: once every activation scope
+  /// opened at or after `first` is retired and simplify() has swept its
+  /// clauses, no clause mentions those variables, and keeping them would
+  /// only make every later solve() reset and branch over dead variables.
+  /// The released indices are handed out again by new_var().
+  void release_vars(Var first);
+
   /// Level-0 clause database cleanup: drops clauses satisfied at level 0,
   /// strips falsified literals, and rebuilds the watch lists. Returns the
   /// number of clauses removed. Called by pop_activation; also useful
@@ -189,11 +197,15 @@ class Solver {
   /// are committed to the sat.* counters; a call aborted by a limit or
   /// budget (kUnknown) charges sat.aborted_* instead, so cumulative
   /// counters never double-count work that a retry will redo.
+  ///
+  /// Every call returns with the solver back at decision level 0 (a kSat
+  /// model is copied out first), so clauses may be added between solves —
+  /// the CEC session interleaves merge proofs with encoding.
   Result solve(const std::vector<Lit>& assumptions = {},
                std::int64_t conflict_limit = -1,
                const Budget* budget = nullptr);
 
-  /// Model access after Result::kSat.
+  /// Model access after Result::kSat (valid until the next solve()).
   bool model_value(Var v) const;
 
   /// Cumulative effort across every solve() on this solver.
@@ -265,6 +277,7 @@ class Solver {
   std::vector<ClauseRef> reason_;              // antecedent per var
   std::vector<Lit> trail_;
   std::vector<int> trail_lim_;
+  std::vector<LBool> model_;  // assigns_ at the last kSat exit
   std::size_t qhead_ = 0;
 
   std::vector<double> activity_;

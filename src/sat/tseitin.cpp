@@ -90,6 +90,9 @@ TseitinEncoding::TseitinEncoding(Solver& solver, const Netlist& nl,
       if (act != kUndefVar) clause.push_back(neg_lit(act));
       solver.add_clause(std::move(clause));
     }
+    if (options.on_encoded) {
+      var_of_[gt.output] = options.on_encoded(g, gt, out);
+    }
   }
 }
 

@@ -14,9 +14,14 @@
 //  * Activation guards: all clauses emitted for the fresh cone can carry
 //    a negated activation literal, making the cone retractable via
 //    Solver::pop_activation once the edition's query is answered.
+//  * A per-gate hook: after each freshly encoded gate the caller may
+//    substitute the variable its output net maps to. CEC sweeping merges
+//    a net proven equal to its base counterpart this way, and reuse
+//    resumes downstream of the merge point.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -41,6 +46,11 @@ struct TseitinOptions {
   /// space (editions are clones of the base, so ids align).
   const Netlist* base = nullptr;
   const TseitinEncoding* base_encoding = nullptr;
+  /// Called after each freshly encoded gate `g` with its output variable
+  /// `out`, once its clauses are in the solver; the returned variable is
+  /// what the output net maps to from then on (return `out` to keep it).
+  /// The hook may run solve() on the same solver.
+  std::function<Var(GateId g, const Gate& gate, Var out)> on_encoded = {};
 };
 
 /// Maps NetId -> SAT variable for one encoded netlist.

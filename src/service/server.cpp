@@ -623,9 +623,12 @@ Outcome<std::unique_ptr<Server>> Server::start(
 
 void Server::stop() {
   if (impl_ == nullptr) return;
-  bool expected = false;
-  if (!impl_->stopping.compare_exchange_strong(expected, true)) {
-    return;  // already stopped
+  {
+    // Set the flag under mu: an executor that has just evaluated its wait
+    // predicate holds mu until it blocks, so it either sees the flag or
+    // is already waiting when the notify below comes.
+    std::lock_guard<std::mutex> lock(impl_->mu);
+    if (impl_->stopping.exchange(true)) return;  // already stopped
   }
   impl_->stop_token.cancel();
   impl_->queue_cv.notify_all();

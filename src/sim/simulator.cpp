@@ -69,4 +69,22 @@ std::vector<std::uint64_t> Simulator::output_words() const {
   return out;
 }
 
+std::vector<std::uint64_t> simulate_signatures(
+    const Netlist& nl,
+    const std::vector<std::vector<std::uint64_t>>& input_words) {
+  const std::size_t num_words = input_words.size();
+  std::vector<std::uint64_t> sigs(nl.num_nets() * num_words, 0);
+  Simulator sim(nl);
+  for (std::size_t w = 0; w < num_words; ++w) {
+    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+      sim.set_input_word(i, input_words[w][i]);
+    }
+    sim.run();
+    for (NetId n = 0; n < nl.num_nets(); ++n) {
+      sigs[n * num_words + w] = sim.value(n);
+    }
+  }
+  return sigs;
+}
+
 }  // namespace odcfp

@@ -49,6 +49,14 @@ class Simulator {
   std::vector<std::uint64_t> words_;  // indexed by NetId
 };
 
+/// Multi-word signatures: simulates `nl` once per entry of `input_words`
+/// (input_words[w][i] is the word of the i-th primary input, order of
+/// Netlist::inputs()) and returns every net's value words net-major:
+/// result[net * W + w] with W = input_words.size().
+std::vector<std::uint64_t> simulate_signatures(
+    const Netlist& nl,
+    const std::vector<std::vector<std::uint64_t>>& input_words);
+
 /// Evaluates one gate function over value words: word-parallel application
 /// of the truth table. Exposed for reuse by the power estimator.
 std::uint64_t eval_tt_words(const TruthTable& tt,

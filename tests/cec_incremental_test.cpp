@@ -11,12 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchgen/benchmarks.hpp"
 #include "common/parallel.hpp"
+#include "common/telemetry.hpp"
 #include "fingerprint/batch.hpp"
+#include "sat/tseitin.hpp"
 #include "sim/simulator.hpp"
 
 namespace odcfp {
@@ -69,11 +73,16 @@ bool cex_distinguishes(const Netlist& a, const Netlist& b,
 }
 
 struct Fixture {
-  Netlist golden = make_benchmark("c880");
+  explicit Fixture(const char* circuit = "c880", std::size_t buyers = 6)
+      : golden(make_benchmark(circuit)),
+        locs(find_locations(golden)),
+        book(locs, buyers, 17) {}
+
+  Netlist golden;
   StaticTimingAnalyzer sta;
   PowerAnalyzer power;
-  std::vector<FingerprintLocation> locs = find_locations(golden);
-  Codebook book{locs, 6, 17};
+  std::vector<FingerprintLocation> locs;
+  Codebook book;
 
   BatchResult stamp() {
     BatchOptions opt;
@@ -305,6 +314,261 @@ TEST(IncrementalCec, SessionVerdictsMatchLegacyPerEdition) {
     const CecResult legacy = verify_equivalence(f.golden, e.netlist);
     EXPECT_EQ(inc.status, legacy.status);
   }
+}
+
+// ------------------------------------------------------------ sweeping
+
+/// The cell computing the complement of gate g's function with the same
+/// fanins, or kInvalidCell when the library has none.
+CellId complement_cell(const Netlist& nl, GateId g) {
+  static const std::vector<std::pair<CellKind, CellKind>> kPairs = {
+      {CellKind::kAnd, CellKind::kNand}, {CellKind::kOr, CellKind::kNor},
+      {CellKind::kXor, CellKind::kXnor}, {CellKind::kBuf, CellKind::kInv}};
+  const CellKind kind = nl.cell_of(g).kind;
+  const int arity = nl.cell_of(g).num_inputs();
+  for (const auto& [a, b] : kPairs) {
+    for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+      if (kind == from && nl.library().max_arity(to) >= arity) {
+        return nl.library().find_kind(to, arity);
+      }
+    }
+  }
+  return kInvalidCell;
+}
+
+/// Complements gate g of a copy of `edition` (a planted bug), or returns
+/// nullopt when the library cannot or the bug is unobservable at the
+/// outputs (random simulation finds no difference from `golden`).
+std::optional<Netlist> plant_bug(const Netlist& golden,
+                                 const Netlist& edition, GateId g) {
+  if (edition.gate(g).is_dead()) return std::nullopt;
+  const CellId cell = complement_cell(edition, g);
+  if (cell == kInvalidCell) return std::nullopt;
+  Netlist bad = edition;
+  bad.rewire_gate(g, cell, bad.gate(g).fanins);
+  if (random_sim_equal(golden, bad, 64, 7)) return std::nullopt;
+  return bad;
+}
+
+/// Locations whose FFC the edition actually modified.
+std::vector<const FingerprintLocation*> edited_locations(
+    const Netlist& golden, const Netlist& edition,
+    const std::vector<FingerprintLocation>& locs) {
+  std::vector<const FingerprintLocation*> edited;
+  for (const FingerprintLocation& loc : locs) {
+    for (const InjectionSite& site : loc.sites) {
+      const Gate& a = golden.gate(site.gate);
+      const Gate& b = edition.gate(site.gate);
+      if (a.cell != b.cell || a.fanins != b.fanins) {
+        edited.push_back(&loc);
+        break;
+      }
+    }
+  }
+  return edited;
+}
+
+/// Gates a session WITHOUT sweeping would encode for `edition`: plain
+/// structural reuse re-encodes each edit's whole transitive fanout.
+std::size_t unswept_encoded_gates(const Netlist& golden,
+                                  const Netlist& edition) {
+  sat::Solver solver;
+  const sat::TseitinEncoding base(solver, golden);
+  sat::TseitinOptions options;
+  options.share_inputs = &base.input_vars();
+  options.base = &golden;
+  options.base_encoding = &base;
+  return sat::TseitinEncoding(solver, edition, options).encoded_gates();
+}
+
+std::int64_t tree_counter(const telemetry::Node& node, const char* name) {
+  std::int64_t total = node.counter(name);
+  for (const auto& [child_name, child] : node.children) {
+    total += tree_counter(child, name);
+  }
+  return total;
+}
+
+TEST(IncrementalCecSweep, VerdictsMatchMonolithicOracle) {
+  // The monolithic shared-PI miter (check_equivalence_sat) is the oracle:
+  // the swept session must agree on every edition, and on a corrupted one
+  // per circuit, with simulation-confirmed counterexamples.
+  for (const auto& [circuit, buyers] :
+       {std::pair{"c880", std::size_t{6}}, std::pair{"c3540", std::size_t{3}}}) {
+    Fixture f(circuit, buyers);
+    BatchResult batch = f.stamp();
+    const Netlist& first = batch.editions[0].netlist;
+    const auto edited = edited_locations(f.golden, first, f.locs);
+    ASSERT_FALSE(edited.empty()) << circuit;
+    std::optional<Netlist> bad;
+    for (const FingerprintLocation* loc : edited) {
+      bad = plant_bug(f.golden, first, loc->primary);
+      if (bad) break;
+    }
+    ASSERT_TRUE(bad.has_value()) << circuit;
+    std::vector<const Netlist*> editions = {&*bad};
+    for (const BuyerEdition& e : batch.editions) {
+      editions.push_back(&e.netlist);
+    }
+
+    IncrementalCecSession session(f.golden);
+    for (const Netlist* e : editions) {
+      const CecResult swept = session.check(*e);
+      const CecResult oracle = check_equivalence_sat(f.golden, *e);
+      EXPECT_EQ(swept.status, oracle.status) << circuit;
+      EXPECT_EQ(swept.method, "sat-incremental") << circuit;
+      if (swept.status == CecResult::Status::kDifferent) {
+        EXPECT_TRUE(cex_distinguishes(f.golden, *e, swept.counterexample))
+            << circuit;
+      }
+    }
+    EXPECT_EQ(session.checks(), editions.size());
+    EXPECT_GT(session.sweep_merges(), 0u) << circuit;
+  }
+}
+
+TEST(IncrementalCecSweep, BugAtPrimaryGateIsRefuted) {
+  // Complementing an edited location's primary gate breaks the very net
+  // the sweep would merge: its signature no longer matches, so it stays
+  // unmerged and the residual miter must find the difference.
+  Fixture f("c3540", 2);
+  const BatchResult batch = f.stamp();
+  IncrementalCecSession session(f.golden);
+  std::size_t planted = 0;
+  for (const BuyerEdition& e : batch.editions) {
+    for (const FingerprintLocation* loc :
+         edited_locations(f.golden, e.netlist, f.locs)) {
+      const std::optional<Netlist> bad =
+          plant_bug(f.golden, e.netlist, loc->primary);
+      if (!bad) continue;
+      const CecResult r = session.check(*bad);
+      ASSERT_EQ(r.status, CecResult::Status::kDifferent);
+      EXPECT_TRUE(cex_distinguishes(f.golden, *bad, r.counterexample));
+      // The session keeps answering correctly after a refutation.
+      EXPECT_EQ(session.check(e.netlist).status,
+                CecResult::Status::kEquivalent);
+      ++planted;
+      break;
+    }
+  }
+  EXPECT_EQ(planted, batch.editions.size());
+}
+
+TEST(IncrementalCecSweep, BugDownstreamOfMergePointIsRefuted) {
+  // The edit merges at its primary gate; a bug one gate further down must
+  // still surface: merging hands the fanout back to structural reuse,
+  // which re-encodes the corrupted gate and everything after it.
+  Fixture f("c3540", 2);
+  const BatchResult batch = f.stamp();
+  IncrementalCecSession session(f.golden);
+  std::size_t planted = 0;
+  for (const BuyerEdition& e : batch.editions) {
+    std::optional<Netlist> bad;
+    for (const FingerprintLocation* loc :
+         edited_locations(f.golden, e.netlist, f.locs)) {
+      const NetId merge_point = e.netlist.gate(loc->primary).output;
+      for (const FanoutRef& ref : e.netlist.net(merge_point).fanouts) {
+        bad = plant_bug(f.golden, e.netlist, ref.gate);
+        if (bad) break;
+      }
+      if (bad) break;
+    }
+    ASSERT_TRUE(bad.has_value());
+    const std::size_t merges_before = session.sweep_merges();
+    const CecResult r = session.check(*bad);
+    ASSERT_EQ(r.status, CecResult::Status::kDifferent);
+    EXPECT_TRUE(cex_distinguishes(f.golden, *bad, r.counterexample));
+    // The untouched edits of this edition still merged.
+    EXPECT_GT(session.sweep_merges(), merges_before);
+    ++planted;
+  }
+  EXPECT_EQ(planted, batch.editions.size());
+}
+
+TEST(IncrementalCecSweep, MergesShrinkTheEncodingOnC3540) {
+  // A regression that silently stops merging leaves verdicts intact but
+  // re-encodes every edit's whole fanout: pin that the sweep merges and
+  // encodes fewer gates than plain structural reuse would.
+  Fixture f("c3540", 4);
+  const BatchResult batch = f.stamp();
+  IncrementalCecSession session(f.golden);
+  std::size_t unswept = 0;
+  for (const BuyerEdition& e : batch.editions) {
+    const CecResult r = session.check(e.netlist);
+    EXPECT_EQ(r.status, CecResult::Status::kEquivalent);
+    EXPECT_EQ(r.method, "sat-incremental");
+    unswept += unswept_encoded_gates(f.golden, e.netlist);
+  }
+  EXPECT_GT(session.sweep_merges(), 0u);
+  EXPECT_GE(session.sweep_candidates(), session.sweep_merges());
+  EXPECT_LT(session.gates_encoded(), unswept);
+
+  // The batch layer reports the same deterministic cec.sweep.* counters.
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  std::vector<std::int64_t> merges;
+  for (int run = 0; run < 2; ++run) {
+    telemetry::flush_thread();
+    telemetry::reset();
+    const auto verdicts = batch_verify_equivalence(f.golden, batch.editions);
+    for (const Outcome<CecResult>& v : verdicts) {
+      EXPECT_TRUE(v.value().equivalent());
+    }
+    telemetry::flush_thread();
+    merges.push_back(tree_counter(telemetry::snapshot(), "cec.sweep.merges"));
+  }
+  telemetry::set_enabled(was_enabled);
+  EXPECT_GT(merges[0], 0);
+  EXPECT_EQ(merges[0], merges[1]);
+}
+
+TEST(IncrementalCecSweep, SignatureMatchIsNeverTrustedWithoutProof) {
+  // f = A & B over two 16-input AND chains; the edition computes A & A.
+  // They differ only when A = 1 and B = 0 (2^-16 of patterns), so the
+  // sweep's random signatures match, and only the merge proof can refuse
+  // the merge. A sweep that merged on signatures alone would call the
+  // edition equivalent.
+  Netlist golden(&default_cell_library(), "and_chains");
+  const auto chain = [&golden](int first) {
+    const auto pi = [&golden](int i) {
+      std::string name = "x";
+      name += std::to_string(i);
+      return golden.add_input(name);
+    };
+    NetId acc = pi(first);
+    for (int i = first + 1; i < first + 16; ++i) {
+      const NetId x = pi(i);
+      acc = golden.gate(golden.add_gate_kind(CellKind::kAnd, {acc, x}))
+                .output;
+    }
+    return acc;
+  };
+  const NetId a = chain(0);
+  const NetId b = chain(16);
+  const GateId root = golden.add_gate_kind(CellKind::kAnd, {a, b});
+  golden.add_output(golden.gate(root).output, "f");
+
+  Netlist edition = golden;
+  edition.rewire_gate(root, edition.gate(root).cell, {a, a});
+  IncrementalCecSession session(golden);
+  const CecResult r = session.check(edition);
+  EXPECT_EQ(session.sweep_candidates(), 1u);  // the signatures matched
+  EXPECT_EQ(session.sweep_merges(), 0u);
+  ASSERT_EQ(r.status, CecResult::Status::kDifferent);
+  EXPECT_TRUE(cex_distinguishes(golden, edition, r.counterexample));
+}
+
+TEST(IncrementalCecSweep, ZeroQuotaSkipsMergeProofs) {
+  // Merge proofs spend the check's conflict quota: with none, no merge
+  // is attempted and the check escalates instead of answering.
+  Fixture f("c3540", 1);
+  const BatchResult batch = f.stamp();
+  IncrementalCecSession::Options options;
+  options.conflict_limit = 0;
+  IncrementalCecSession session(f.golden, options);
+  const CecResult r = session.check(batch.editions[0].netlist);
+  EXPECT_EQ(r.status, CecResult::Status::kUnknown);
+  EXPECT_EQ(session.sweep_merges(), 0u);
 }
 
 }  // namespace

@@ -158,10 +158,15 @@ RunArtifacts collect(const std::string& run_dir, const DistResult& r) {
   return a;
 }
 
-/// The uninterrupted 1-shard reference artifacts, computed once.
+/// The uninterrupted 1-shard reference artifacts, computed once per
+/// process. The directory is named after the running test: ctest runs
+/// each test in its own process, in parallel under -j, and a shared
+/// reference directory let two of them interleave one shard journal.
 const RunArtifacts& reference() {
   static RunArtifacts* ref = [] {
-    const std::string dir = fresh_dir("reference");
+    const std::string dir = fresh_dir(
+        std::string("reference_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     const DistResult r =
         run_supervised_batch(chaos_spec(), base_options(dir, 1));
     EXPECT_EQ(r.status, Status::kOk) << r.message;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
 
@@ -232,6 +233,53 @@ TEST(Solver, RetireActivationBatchesIntoOneSimplify) {
   EXPECT_EQ(s.num_clauses(), 0u);
   EXPECT_EQ(s.solve({pos_lit(x)}), Solver::Result::kSat);
   EXPECT_EQ(s.solve({neg_lit(x)}), Solver::Result::kSat);
+}
+
+TEST(Solver, SolveReturnsAtRootSoClausesCanBeAddedBetweenSolves) {
+  // Interleaving solves with encoding (CEC sweeping) needs add_clause to
+  // work after every kind of exit; the model of a kSat call survives the
+  // return to the root.
+  Solver s;
+  const Var x = s.new_var();
+  const Var y = s.new_var();
+  s.add_clause(neg_lit(x), pos_lit(y));  // x -> y
+  EXPECT_EQ(s.solve({pos_lit(x)}), Solver::Result::kSat);
+  EXPECT_TRUE(s.model_value(x));
+  EXPECT_TRUE(s.model_value(y));
+  EXPECT_TRUE(s.add_clause(neg_lit(y), pos_lit(s.new_var())));
+  EXPECT_EQ(s.solve({pos_lit(x), neg_lit(y)}), Solver::Result::kUnsat);
+  EXPECT_TRUE(s.add_clause(pos_lit(x), pos_lit(y)));
+  EXPECT_EQ(s.solve(), Solver::Result::kSat);
+  EXPECT_TRUE(s.model_value(y));
+}
+
+TEST(Solver, ReleaseVarsShrinksBackAfterRetiredScopes) {
+  Solver s;
+  const Var x = s.new_var();
+  const Var y = s.new_var();
+  s.add_clause(neg_lit(x), pos_lit(y));  // x -> y, the persistent base
+  for (int round = 0; round < 3; ++round) {
+    const Var act = s.push_activation();
+    const Var z = s.new_var();
+    EXPECT_EQ(act, 2);  // released indices are handed out again
+    s.add_clause({neg_lit(act), neg_lit(z), pos_lit(x)});  // z -> x
+    s.add_clause({neg_lit(act), pos_lit(z)});
+    EXPECT_EQ(s.solve({pos_lit(act), neg_lit(y)}), Solver::Result::kUnsat);
+    s.pop_activation(act);
+    s.release_vars(2);
+    EXPECT_EQ(s.num_vars(), 2);
+    EXPECT_TRUE(s.ok());
+    EXPECT_EQ(s.solve({neg_lit(y)}), Solver::Result::kSat);
+    EXPECT_EQ(s.solve({pos_lit(x), neg_lit(y)}), Solver::Result::kUnsat);
+  }
+}
+
+TEST(Solver, ReleaseVarsRefusesVariablesALiveClauseMentions) {
+  Solver s;
+  const Var x = s.new_var();
+  const Var y = s.new_var();
+  s.add_clause(neg_lit(x), pos_lit(y));
+  EXPECT_THROW(s.release_vars(1), CheckError);
 }
 
 /// Guarded pigeonhole instance on a fresh variable block, selected by its

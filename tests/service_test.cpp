@@ -667,6 +667,20 @@ TEST(ServiceServer, DegradesOrShedsOnTinyDeadlineInsteadOfHanging) {
   server.value()->stop();
 }
 
+TEST(ServiceServer, ImmediateStopAfterStartNeverHangs) {
+  // stop() right after start() races executors that are just parking on
+  // the queue: a wake-up lost between their predicate check and their
+  // wait would hang stop() in join (and this test at the ctest timeout).
+  const std::string dir = temp_dir("restart");
+  for (int round = 0; round < 50; ++round) {
+    ServiceConfig config = base_config(dir);
+    config.num_executors = 4;
+    auto server = Server::start(config);
+    ASSERT_TRUE(server.ok()) << server.message();
+    server.value()->stop();
+  }
+}
+
 TEST(ServiceServer, GracefulStopLeavesQueuedWorkForSuccessorReplay) {
   const std::string dir = temp_dir("handoff");
   ServiceConfig config = base_config(dir);
