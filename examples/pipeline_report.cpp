@@ -84,9 +84,10 @@ void print_breakdown(const telemetry::Node& root) {
   std::printf("\n-- heuristic / embedding --\n");
   for (const char* c : {"heur.restarts", "heur.iterations", "heur.trials",
                         "heur.greedy_removals", "heur.random_kicks",
-                        "heur.sta_evaluations", "embed.applies",
-                        "embed.removes", "batch.editions_stamped"}) {
-    std::printf("  %-22s %12lld\n", c,
+                        "heur.sta_evaluations", "timing.arrival_recomputes",
+                        "embed.applies", "embed.removes",
+                        "batch.editions_stamped"}) {
+    std::printf("  %-26s %12lld\n", c,
                 static_cast<long long>(tree_counter(root, c)));
   }
 }

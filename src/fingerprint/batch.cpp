@@ -59,6 +59,8 @@ BuyerEdition make_edition(const Netlist& golden, const CodebookSource& book,
   }
 
   edition.critical_delay = tracker.critical_delay();
+  TELEM_COUNT("timing.arrival_recomputes",
+              static_cast<std::int64_t>(tracker.recomputes()));
   edition.overheads =
       Overheads::measure(edition.netlist, baseline, sta, power);
   if (options.max_delay_overhead > 0 &&
@@ -589,22 +591,18 @@ std::vector<Outcome<CecResult>> batch_verify_equivalence(
     // whole-batch totals — deterministic at any thread count. The
     // encoded counter is the bench gate: a regression that silently
     // stops reusing the golden encoding inflates it and fails the
-    // baseline diff; reuse_ratio (permille) states the same health as a
-    // scale-free number.
-    const std::size_t r = reused.load(), n = encoded.load();
+    // baseline diff. Counters add up across calls, so no ratio is
+    // emitted: the reuse share is gates_reused / (gates_reused +
+    // gates_encoded).
     TELEM_COUNT("cec.incremental.checks",
                 static_cast<std::int64_t>(checks.load()));
     TELEM_COUNT("cec.incremental.gates_reused",
-                static_cast<std::int64_t>(r));
+                static_cast<std::int64_t>(reused.load()));
     TELEM_COUNT("cec.incremental.gates_encoded",
-                static_cast<std::int64_t>(n));
+                static_cast<std::int64_t>(encoded.load()));
     TELEM_COUNT("cec.sweep.candidates",
                 static_cast<std::int64_t>(candidates.load()));
     TELEM_COUNT("cec.sweep.merges", static_cast<std::int64_t>(merges.load()));
-    TELEM_COUNT("cec.incremental.reuse_ratio",
-                r + n == 0 ? 0
-                           : static_cast<std::int64_t>(
-                                 r * 1000 / (r + n)));
   } else {
     parallel_for(
         options.pool, editions.size(),

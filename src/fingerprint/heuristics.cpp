@@ -112,6 +112,7 @@ struct ReactiveRun {
   bool truncated = false;  ///< Resource budget died mid-run.
   std::size_t random_kicks = 0;           ///< Kicks taken, whole run.
   std::size_t max_consecutive_kicks = 0;  ///< Longest kick streak.
+  std::uint64_t arrival_recomputes = 0;   ///< The tracker's work.
 };
 
 ReactiveRun reactive_once(FingerprintEmbedder& e,
@@ -146,7 +147,7 @@ ReactiveRun reactive_once(FingerprintEmbedder& e,
     }
     // Applied sites whose touched gates (or the drivers feeding them) are
     // timing-critical: only their removal can shorten the critical path.
-    const TimingReport rep = sta.analyze(nl);
+    const std::vector<double> slacks = tracker.gate_slacks();
     ++evals;
     std::vector<std::pair<double, std::size_t>> scored;  // (slack, site)
     for (std::size_t f = 0; f < e.num_sites(); ++f) {
@@ -154,11 +155,11 @@ ReactiveRun reactive_once(FingerprintEmbedder& e,
       if (e.applied_option(ref.loc, ref.site) == 0) continue;
       double min_slack = std::numeric_limits<double>::infinity();
       for (GateId g : e.touched_gates(ref.loc, ref.site)) {
-        min_slack = std::min(min_slack, rep.gate_slack[g]);
+        min_slack = std::min(min_slack, slacks[g]);
         for (NetId in : nl.gate(g).fanins) {
           const GateId d = nl.net(in).driver;
           if (d != kInvalidGate) {
-            min_slack = std::min(min_slack, rep.gate_slack[d]);
+            min_slack = std::min(min_slack, slacks[d]);
           }
         }
       }
@@ -247,6 +248,7 @@ ReactiveRun reactive_once(FingerprintEmbedder& e,
   run.truncated = truncated;
   run.random_kicks = total_kicks;
   run.max_consecutive_kicks = max_streak;
+  run.arrival_recomputes = tracker.recomputes();
   return run;
 }
 
@@ -266,6 +268,7 @@ HeuristicOutcome reactive_reduce(FingerprintEmbedder& embedder,
   bool truncated = false;
   std::size_t total_kicks = 0;
   std::size_t max_streak = 0;
+  std::uint64_t recomputes = 0;
   for (int r = 0; r < std::max(1, options.restarts); ++r) {
     if (r > 0 && budget_exhausted(options.budget)) {
       truncated = true;
@@ -279,6 +282,7 @@ HeuristicOutcome reactive_reduce(FingerprintEmbedder& embedder,
     truncated = truncated || run.truncated;
     total_kicks += run.random_kicks;
     max_streak = std::max(max_streak, run.max_consecutive_kicks);
+    recomputes += run.arrival_recomputes;
     const bool better =
         !have_best ||
         (run.met_budget && !best.met_budget) ||
@@ -311,6 +315,8 @@ HeuristicOutcome reactive_reduce(FingerprintEmbedder& embedder,
   out.random_kicks = total_kicks;
   out.max_consecutive_kicks = max_streak;
   TELEM_COUNT("heur.sta_evaluations", static_cast<std::int64_t>(evals));
+  TELEM_COUNT("timing.arrival_recomputes",
+              static_cast<std::int64_t>(recomputes));
   if (log::enabled(log::Level::kDebug)) {
     log::debug("heur.reactive_reduce.done")
         .field("status", to_string(out.status))
@@ -406,6 +412,8 @@ HeuristicOutcome proactive_insert(FingerprintEmbedder& embedder,
     out.exhausted_at = options.budget->died_in();
   }
   TELEM_COUNT("heur.sta_evaluations", static_cast<std::int64_t>(evals));
+  TELEM_COUNT("timing.arrival_recomputes",
+              static_cast<std::int64_t>(tracker.recomputes()));
   return out;
 }
 

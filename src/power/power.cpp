@@ -37,18 +37,21 @@ double PowerAnalyzer::accumulate(const Netlist& nl, PowerReport& rep) const {
   topt.wire_cap_per_fanout = options_.wire_cap_per_fanout;
   topt.po_load = options_.po_load;
   const StaticTimingAnalyzer sta(topt);
+  const std::vector<std::uint32_t> ports =
+      StaticTimingAnalyzer::port_counts(nl);
 
   double power = 0;
   for (GateId g = 0; g < nl.num_gates(); ++g) {
     if (nl.gate(g).is_dead()) continue;
     const NetId out = nl.gate(g).output;
     const double alpha = rep.activity[out];
-    power += alpha * options_.load_weight * sta.net_load(nl, out);
+    power += alpha * options_.load_weight * sta.net_load(nl, out, ports[out]);
     power += alpha * nl.cell_of(g).switch_energy;
   }
   // PI nets also toggle and drive loads.
   for (NetId pi : nl.inputs()) {
-    power += rep.activity[pi] * options_.load_weight * sta.net_load(nl, pi);
+    power += rep.activity[pi] * options_.load_weight *
+             sta.net_load(nl, pi, ports[pi]);
   }
   return options_.scale * power;
 }

@@ -1,5 +1,6 @@
 #include "service/server.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -59,6 +60,9 @@ struct Server::Impl {
   std::unique_ptr<AdmissionController> admission;
   RequestLog request_log;
   int listen_fd = -1;
+  /// Self-pipe: stop() writes wake_fd[1] so the listener's poll returns
+  /// at once instead of waiting for a timeout.
+  int wake_fd[2] = {-1, -1};
 
   std::atomic<bool> stopping{false};
   CancelToken stop_token;  ///< cancels every in-flight request budget
@@ -77,6 +81,9 @@ struct Server::Impl {
 
   ~Impl() {
     if (listen_fd >= 0) ::close(listen_fd);
+    for (int fd : wake_fd) {
+      if (fd >= 0) ::close(fd);
+    }
   }
 
   // ---------------------------------------------------------- admission
@@ -256,11 +263,13 @@ struct Server::Impl {
   void listener_main() {
     trace::set_thread_name("service-listener");
     while (!stopping.load(std::memory_order_relaxed)) {
-      struct pollfd pfd;
-      pfd.fd = listen_fd;
-      pfd.events = POLLIN;
-      const int pr = ::poll(&pfd, 1, 100);
-      if (pr <= 0) continue;
+      struct pollfd pfd[2];
+      pfd[0].fd = listen_fd;
+      pfd[0].events = POLLIN;
+      pfd[1].fd = wake_fd[0];
+      pfd[1].events = POLLIN;
+      const int pr = ::poll(pfd, 2, -1);
+      if (pr <= 0 || pfd[1].revents != 0) continue;
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) continue;
       handle_connection(fd);
@@ -609,6 +618,9 @@ Outcome<std::unique_ptr<Server>> Server::start(
                              "': " + std::strerror(errno));
   }
 
+  if (::pipe2(impl.wake_fd, O_CLOEXEC | O_NONBLOCK) != 0) {
+    return Result::malformed(std::string("pipe: ") + std::strerror(errno));
+  }
   impl.listener = std::thread([&impl] { impl.listener_main(); });
   for (int i = 0; i < config.num_executors; ++i) {
     impl.executors.emplace_back([&impl, i] { impl.executor_main(i); });
@@ -632,6 +644,8 @@ void Server::stop() {
   }
   impl_->stop_token.cancel();
   impl_->queue_cv.notify_all();
+  const char wake = 1;
+  (void)::write(impl_->wake_fd[1], &wake, 1);
   if (impl_->listener.joinable()) impl_->listener.join();
   for (std::thread& t : impl_->executors) {
     if (t.joinable()) t.join();

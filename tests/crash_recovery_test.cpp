@@ -130,7 +130,12 @@ const std::vector<std::string>& reference_bytes(const Fixture& f) {
     return new std::vector<std::string>();
   }();
   if (bytes->empty()) {
-    const std::string dir = chaos_base() + "reference";
+    // Named after the running test: ctest runs each test in its own
+    // process, concurrently, and a shared directory would be wiped and
+    // rewritten under another process's feet.
+    const std::string dir =
+        chaos_base() + "reference_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
     atomic_io::make_dirs(dir);
     wipe_dir(dir);
     const ResumableBatchResult ref = f.run(dir);

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "benchgen/benchmarks.hpp"
+#include "common/telemetry.hpp"
 #include "equiv/cec.hpp"
 
 namespace odcfp {
@@ -165,6 +167,67 @@ TEST(Reactive, DeterministicAcrossRuns) {
     EXPECT_EQ(out.random_kicks, first.random_kicks);
     EXPECT_EQ(out.overheads.delay_ratio, first.overheads.delay_ratio);
   }
+}
+
+/// FNV-1a over the code's options, location by location.
+std::uint64_t code_digest(const FingerprintCode& code) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& loc : code) {
+    for (std::uint8_t option : loc) {
+      h = (h ^ option) * 0x100000001b3ull;
+    }
+    h = (h ^ 0xff) * 0x100000001b3ull;  // location separator
+  }
+  return h;
+}
+
+std::int64_t tree_counter(const telemetry::Node& node, const char* name) {
+  std::int64_t total = node.counter(name);
+  for (const auto& [child_name, child] : node.children) {
+    total += tree_counter(child, name);
+  }
+  return total;
+}
+
+TEST(Reactive, PinnedReductionOutput) {
+  // Recorded before the arrival tracker cached gate delays. Faster timing
+  // may change how long the reduction takes, never which sites it keeps
+  // or how many trials it takes to get there.
+  struct Pin {
+    const char* circuit;
+    std::uint64_t code_digest;
+    std::size_t sites_kept;
+    std::size_t sta_evaluations;
+    std::int64_t trials;
+    std::int64_t random_kicks;
+  };
+  const Pin pins[] = {
+      {"c880", 0xd6965fc7dbac4a4dull, 58, 11, 85, 0},
+      {"des", 0xbef6d097b26dba24ull, 323, 676, 19057, 185},
+  };
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  for (const Pin& pin : pins) {
+    Fixture f(pin.circuit);
+    Netlist work = f.golden;
+    FingerprintEmbedder e(work, f.locs);
+    ReactiveOptions opt;
+    opt.max_delay_overhead = 0.01;
+    opt.restarts = 1;
+    telemetry::flush_thread();
+    telemetry::reset();
+    const HeuristicOutcome out =
+        reactive_reduce(e, f.base, f.sta, f.power, opt);
+    telemetry::flush_thread();
+    const telemetry::Node root = telemetry::snapshot();
+    EXPECT_EQ(code_digest(out.code), pin.code_digest) << pin.circuit;
+    EXPECT_EQ(out.sites_kept, pin.sites_kept) << pin.circuit;
+    EXPECT_EQ(out.sta_evaluations, pin.sta_evaluations) << pin.circuit;
+    EXPECT_EQ(tree_counter(root, "heur.trials"), pin.trials) << pin.circuit;
+    EXPECT_EQ(tree_counter(root, "heur.random_kicks"), pin.random_kicks)
+        << pin.circuit;
+  }
+  telemetry::set_enabled(was_enabled);
 }
 
 TEST(Reactive, KickBudgetBoundsStreaksNotTotals) {

@@ -93,6 +93,8 @@ TEST(PipelineReportCli, ValidArgumentsStillRun) {
   const ReportRun r = run_report("ok", {"c432", "--threads", "1", "--json"});
   EXPECT_EQ(r.exit_code, 0) << r.err;
   EXPECT_TRUE(has(r.out, "batch_verify")) << r.out;
+  // The timing work counter, emitted once per reduction and per edition.
+  EXPECT_TRUE(has(r.out, "\"timing.arrival_recomputes\"")) << r.out;
 }
 
 TEST(PipelineReportCli, TooSmallCircuitIsATypedError) {
